@@ -1,13 +1,13 @@
-# Standard entry points; CI runs `make check`, `make smoke-faults`,
-# `make smoke-adversary`, `make smoke-campaign`, `make smoke-send`,
-# `make smoke-serve`, and `make fuzz`.
+# Standard entry points; CI runs `make check`, `make bench-smoke`,
+# `make smoke-faults`, `make smoke-adversary`, `make smoke-campaign`,
+# `make smoke-send`, `make smoke-serve`, and `make fuzz`.
 GO ?= go
 
 # Per-target budget for the CI fuzz smoke (`make fuzz`); raise it
 # locally for real exploration, e.g. `make fuzz FUZZTIME=5m`.
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet lint lint-baseline check docs reproduce smoke-faults smoke-adversary smoke-campaign smoke-send smoke-serve fuzz bench bench-check leaktest
+.PHONY: build test race vet lint lint-baseline check docs reproduce smoke-faults smoke-adversary smoke-campaign smoke-send smoke-serve fuzz bench bench-check bench-smoke leaktest
 
 build:
 	$(GO) build ./...
@@ -39,7 +39,7 @@ lint:
 lint-baseline:
 	$(GO) run ./cmd/mtastslint -write-baseline
 
-check: build vet lint docs test race leaktest smoke-adversary smoke-serve
+check: build vet lint docs test race leaktest bench-smoke smoke-adversary smoke-serve
 
 # Goroutine-leak harness (internal/leakcheck): the concurrency-heavy
 # packages declare a TestMain that fails the binary if any test leaves
@@ -127,6 +127,13 @@ bench:
 	$(GO) test ./internal/scanner -run '^TestBenchScanJSON$$' -count 1 -benchscan-out $(CURDIR)/BENCH_scan.json
 	$(GO) test ./internal/policycache -run '^$$' -bench 'BenchmarkPolicyCacheDeliveries' -benchmem -count 1
 	$(GO) test ./internal/policycache -run '^TestBenchCacheJSON$$' -count 1 -benchcache-out $(CURDIR)/BENCH_cache.json
+
+# Every benchmark in the module, run once (-benchtime 1x, ~15s). The
+# root-level and per-package benchmarks never run otherwise, so this is
+# what keeps them from rotting: a benchmark that panics or calls
+# b.Fatal fails the build.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Bench regression bar: regenerate the benchmark JSONs into /tmp (the
 # committed BENCH_*.json stay untouched) and fail if any row's

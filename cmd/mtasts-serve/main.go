@@ -171,7 +171,9 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "mtasts-serve:", err)
 		return 1
 	}
-	httpSrv := &http.Server{Handler: mux}
+	// The header deadline keeps a slowloris client from pinning a
+	// connection with a trickle of header bytes.
+	httpSrv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	// The listening line is the readiness signal scripts (and the smoke

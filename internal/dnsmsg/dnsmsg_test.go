@@ -303,3 +303,68 @@ func TestAddressTypeValidation(t *testing.T) {
 		t.Error("Pack accepted IPv4 address in AAAA record")
 	}
 }
+
+// TestUnpackDoesNotAliasInput pins the precondition that lets the
+// resolver recycle its UDP receive buffer: Unpack copies every name,
+// string and byte slice it keeps, so overwriting the input afterwards
+// must leave the decoded Message untouched. One record of each decoded
+// RDATA type is present, plus an unknown type that lands in RawData.
+func TestUnpackDoesNotAliasInput(t *testing.T) {
+	m := &Message{
+		Header:    Header{ID: 9, Response: true, Authoritative: true},
+		Questions: []Question{{Name: "example.com", Type: TypeANY, Class: ClassIN}},
+		Answers: []RR{
+			{Name: "example.com", Type: TypeA, Class: ClassIN, TTL: 300,
+				Data: AData{Addr: netip.MustParseAddr("192.0.2.1")}},
+			{Name: "example.com", Type: TypeAAAA, Class: ClassIN, TTL: 300,
+				Data: AAAAData{Addr: netip.MustParseAddr("2001:db8::1")}},
+			{Name: "example.com", Type: TypeNS, Class: ClassIN, TTL: 86400,
+				Data: NSData{Host: "ns1.example.com"}},
+			{Name: "mta-sts.example.com", Type: TypeCNAME, Class: ClassIN, TTL: 60,
+				Data: CNAMEData{Target: "mta-sts.provider.com"}},
+			{Name: "example.com", Type: TypeMX, Class: ClassIN, TTL: 3600,
+				Data: MXData{Preference: 10, Host: "mail.example.com"}},
+			{Name: "_mta-sts.example.com", Type: TypeTXT, Class: ClassIN, TTL: 60,
+				Data: TXTData{Strings: []string{"v=STSv1; ", "id=20240431;"}}},
+			{Name: "example.com", Type: TypeDNSKEY, Class: ClassIN, TTL: 3600,
+				Data: DNSKEYData{Flags: 257, Protocol: 3, Algorithm: AlgorithmECDSAP256SHA256,
+					PublicKey: []byte{1, 2, 3, 4, 5, 6, 7, 8}}},
+			{Name: "example.com", Type: TypeDS, Class: ClassIN, TTL: 3600,
+				Data: DSData{KeyTag: 12345, Algorithm: 13, DigestType: DigestSHA256,
+					Digest: []byte{9, 10, 11, 12}}},
+			{Name: "example.com", Type: TypeRRSIG, Class: ClassIN, TTL: 3600,
+				Data: RRSIGData{TypeCovered: TypeMX, Algorithm: 13, Labels: 2,
+					OrigTTL: 3600, Expiration: 1900000000, Inception: 1700000000,
+					KeyTag: 12345, SignerName: "example.com", Signature: []byte{13, 14, 15, 16}}},
+			{Name: "_25._tcp.mail.example.com", Type: TypeTLSA, Class: ClassIN, TTL: 3600,
+				Data: TLSAData{Usage: 3, Selector: 1, MatchingType: 1, CertData: []byte{17, 18, 19, 20}}},
+			{Name: "example.com", Type: Type(65280), Class: ClassIN, TTL: 60,
+				Data: RawData{RType: Type(65280), Bytes: []byte{21, 22, 23}}},
+		},
+		Authority: []RR{
+			{Name: "example.com", Type: TypeSOA, Class: ClassIN, TTL: 900,
+				Data: SOAData{MName: "ns1.example.com", RName: "hostmaster.example.com",
+					Serial: 2024093001, Refresh: 7200, Retry: 900, Expire: 1209600, Minimum: 300}},
+		},
+	}
+	wire := mustPack(t, m)
+	got, err := Unpack(wire)
+	if err != nil {
+		t.Fatalf("Unpack: %v", err)
+	}
+	// The earlier copy is decoded from a separate buffer, so it cannot
+	// share memory with wire either.
+	want, err := Unpack(bytes.Clone(wire))
+	if err != nil {
+		t.Fatalf("Unpack copy: %v", err)
+	}
+	if !reflect.DeepEqual(want, m) {
+		t.Fatalf("round-trip mismatch:\n got %+v\nwant %+v", want, m)
+	}
+	for i := range wire {
+		wire[i] = 0xFF
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("overwriting the input changed the unpacked message:\n got %+v\nwant %+v", got, want)
+	}
+}

@@ -14,7 +14,9 @@ var (
 	ErrTrailingData = errors.New("dnsmsg: trailing bytes after message")
 )
 
-// Unpack parses a wire-format DNS message.
+// Unpack parses a wire-format DNS message. Every name, string and byte
+// slice is copied out of b, so the returned Message never references b
+// and the caller may reuse b as soon as Unpack returns.
 func Unpack(b []byte) (*Message, error) {
 	d := &decoder{buf: b}
 	m := &Message{}

@@ -29,7 +29,10 @@ const DefaultStaleWindow = 24 * time.Hour
 
 // PolicyCache is the sender-side policy store of RFC 8461 §5: policies are
 // trusted on first use and served from cache until max_age elapses or the
-// record id changes. It is safe for concurrent use.
+// record id changes. It is safe for concurrent use. A nil *PolicyCache is
+// a valid, always-empty cache: every lookup misses, Store and Invalidate
+// do nothing, and Len is 0 — so a nil pointer stored in a Validator's
+// PolicyStore interface behaves like no cache rather than panicking.
 type PolicyCache struct {
 	mu      sync.Mutex
 	entries map[string]CachedPolicy // key: policy domain
@@ -70,6 +73,9 @@ func (pc *PolicyCache) staleWindow() time.Duration {
 // expired entry is a miss, but it is retained for the stale window (see
 // GetStale) rather than evicted, so a failed refetch cannot destroy it.
 func (pc *PolicyCache) Get(domain string) (CachedPolicy, bool) {
+	if pc == nil {
+		return CachedPolicy{}, false
+	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	e, ok := pc.entries[domain]
@@ -90,6 +96,9 @@ func (pc *PolicyCache) Get(domain string) (CachedPolicy, bool) {
 // refetch of an expired policy fails, so delivery keeps enforcing the old
 // policy instead of downgrading to unvalidated TLS.
 func (pc *PolicyCache) GetStale(domain string) (CachedPolicy, bool) {
+	if pc == nil {
+		return CachedPolicy{}, false
+	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	e, ok := pc.entries[domain]
@@ -117,7 +126,7 @@ func (pc *PolicyCache) NeedsRefresh(domain, currentRecordID string) bool {
 // Store caches a freshly fetched policy under the record id it was
 // discovered with. A zero or negative max_age is not cached.
 func (pc *PolicyCache) Store(domain string, p Policy, recordID string) {
-	if p.MaxAge <= 0 {
+	if pc == nil || p.MaxAge <= 0 {
 		return
 	}
 	now := pc.now()
@@ -151,6 +160,9 @@ func (pc *PolicyCache) evictOldestLocked() {
 
 // Invalidate drops the entry for domain.
 func (pc *PolicyCache) Invalidate(domain string) {
+	if pc == nil {
+		return
+	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	delete(pc.entries, domain)
@@ -158,6 +170,9 @@ func (pc *PolicyCache) Invalidate(domain string) {
 
 // Domains returns the policy domains currently cached (order unspecified).
 func (pc *PolicyCache) Domains() []string {
+	if pc == nil {
+		return nil
+	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	out := make([]string, 0, len(pc.entries))
@@ -174,6 +189,9 @@ func (pc *PolicyCache) Domains() []string {
 // while they remain inside the stale window: an entry that lapsed between
 // refresher ticks must still be revalidated, not silently abandoned.
 func (pc *PolicyCache) ExpiringWithin(window time.Duration) []string {
+	if pc == nil {
+		return nil
+	}
 	now := pc.now()
 	deadline := now.Add(window)
 	oldest := now.Add(-pc.staleWindow())
@@ -190,6 +208,9 @@ func (pc *PolicyCache) ExpiringWithin(window time.Duration) []string {
 
 // Len returns the number of cached (possibly stale) entries.
 func (pc *PolicyCache) Len() int {
+	if pc == nil {
+		return 0
+	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	return len(pc.entries)

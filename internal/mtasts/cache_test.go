@@ -188,3 +188,29 @@ func TestCacheExpiringWithinBoundaries(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheNilIsEmpty pins the nil-receiver contract: a nil *PolicyCache
+// is an always-empty cache, not a panic.
+func TestCacheNilIsEmpty(t *testing.T) {
+	var pc *PolicyCache
+	pc.Store("example.com", testPolicy(3600), "id1")
+	if _, ok := pc.Get("example.com"); ok {
+		t.Error("nil cache Get hit")
+	}
+	if _, ok := pc.GetStale("example.com"); ok {
+		t.Error("nil cache GetStale hit")
+	}
+	if !pc.NeedsRefresh("example.com", "id1") {
+		t.Error("nil cache must always need refresh")
+	}
+	pc.Invalidate("example.com")
+	if n := pc.Len(); n != 0 {
+		t.Errorf("nil cache Len = %d", n)
+	}
+	if d := pc.Domains(); len(d) != 0 {
+		t.Errorf("nil cache Domains = %v", d)
+	}
+	if d := pc.ExpiringWithin(time.Hour); len(d) != 0 {
+		t.Errorf("nil cache ExpiringWithin = %v", d)
+	}
+}

@@ -160,6 +160,33 @@ func TestValidateMalformedRecordTreatedAsAbsent(t *testing.T) {
 	}
 }
 
+// TestValidateNilPolicyCache validates through a Cache interface that
+// holds a nil *PolicyCache. The interface is non-nil, so the validator
+// calls into the cache; the nil cache must act as "no cache" and every
+// evaluation refetches.
+func TestValidateNilPolicyCache(t *testing.T) {
+	v, _, _ := newValidatorEnv(t, enforcePolicy, http.StatusOK)
+	var nilCache *PolicyCache
+	v.Cache = nilCache
+	ctx := context.Background()
+	for i := 0; i < 2; i++ {
+		ev, err := v.Validate(ctx, "example.com", "mx.example.com")
+		if err != nil {
+			t.Fatalf("Validate #%d: %v", i, err)
+		}
+		if !ev.PolicyFetched || ev.PolicyFromCache || ev.Action != ActionDeliver {
+			t.Errorf("Validate #%d: ev = %+v", i, ev)
+		}
+	}
+	ev, err := v.Validate(ctx, "example.com", "rogue.example.org")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Action != ActionRefuse {
+		t.Errorf("enforce mismatch through nil cache: ev = %+v", ev)
+	}
+}
+
 func TestValidatePolicyFetchFailureFallsBackUnvalidated(t *testing.T) {
 	// 404 on the policy file with an empty cache: the sender proceeds
 	// without MTA-STS — the downgrade window of §4.3.3.

@@ -215,9 +215,11 @@ func (r *Registry) Serve(addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
+	// The header deadline stops a slowloris client from holding a
+	// connection open forever with a trickle of header bytes.
 	s := &Server{
 		ln:   ln,
-		srv:  &http.Server{Handler: r.NewServeMux()},
+		srv:  &http.Server{Handler: r.NewServeMux(), ReadHeaderTimeout: 10 * time.Second},
 		done: make(chan struct{}),
 	}
 	go func() {

@@ -321,3 +321,17 @@ func TestServe(t *testing.T) {
 		t.Errorf("status = %d", resp.StatusCode)
 	}
 }
+
+// TestServeSetsReadHeaderTimeout guards the metrics server against
+// slowloris: without a header deadline a client that trickles header
+// bytes holds its connection and goroutine forever.
+func TestServeSetsReadHeaderTimeout(t *testing.T) {
+	s, err := NewRegistry().Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.srv.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want > 0", s.srv.ReadHeaderTimeout)
+	}
+}

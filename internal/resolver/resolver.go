@@ -399,6 +399,15 @@ func (c *Client) doExchange(ctx context.Context, name string, t dnsmsg.Type) ([]
 	return interpret(resp, name, t)
 }
 
+// udpBufPool recycles exchangeUDP's receive buffers. Each keeps the full
+// 65,535-byte UDP payload maximum, so a datagram of any size parses
+// exactly as it would from a fresh buffer; the pool only saves the
+// per-query allocate-and-zero, which dominated census CPU through GC.
+// Reuse is safe because dnsmsg.Unpack copies everything it keeps. Only
+// the buffer is pooled: every query still dials its own socket, so each
+// one gets a fresh random source port (RFC 5452 §9.2).
+var udpBufPool = sync.Pool{New: func() any { return new([65535]byte) }}
+
 func (c *Client) exchangeUDP(ctx context.Context, wire []byte, id uint16) (*dnsmsg.Message, error) {
 	d := net.Dialer{}
 	conn, err := d.DialContext(ctx, "udp", c.ServerAddr)
@@ -414,7 +423,9 @@ func (c *Client) exchangeUDP(ctx context.Context, wire []byte, id uint16) (*dnsm
 	if _, err := conn.Write(wire); err != nil {
 		return nil, fmt.Errorf("resolver: send: %w", err)
 	}
-	buf := make([]byte, 65535)
+	bufp := udpBufPool.Get().(*[65535]byte)
+	defer udpBufPool.Put(bufp)
+	buf := bufp[:]
 	for {
 		n, err := conn.Read(buf)
 		if err != nil {

@@ -36,7 +36,13 @@ func startServer(t *testing.T) (*dnsserver.Server, *Client) {
 		Data: dnsmsg.CNAMEData{Target: "policy.example.com"}})
 	add(dnsmsg.RR{Name: "policy.example.com", Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 60,
 		Data: dnsmsg.AData{Addr: netip.MustParseAddr("192.0.2.80")}})
+	return serveZone(t, z)
+}
 
+// serveZone boots an authoritative loopback server for z and returns it
+// with a default Client pointed at it.
+func serveZone(t testing.TB, z *dnszone.Zone) (*dnsserver.Server, *Client) {
+	t.Helper()
 	srv := dnsserver.New(nil)
 	srv.AddZone(z)
 	addr, err := srv.Start("127.0.0.1:0")
@@ -200,14 +206,43 @@ func TestCacheHitsAvoidNetwork(t *testing.T) {
 }
 
 func TestConcurrentLookups(t *testing.T) {
-	_, c := startServer(t)
+	t.Run("shared-name-cached", func(t *testing.T) {
+		_, c := startServer(t)
+		concurrently(t, 32, func(int) error {
+			_, err := c.LookupMX(context.Background(), "example.com")
+			return err
+		})
+	})
+	// Every query goes to the wire, so a receive buffer shared between
+	// in-flight queries shows up as a wrong payload or a garbled reply.
+	t.Run("distinct-names-uncached", func(t *testing.T) {
+		const n = 64
+		_, c := serveZone(t, payloadZone(n))
+		c.Cache = nil
+		concurrently(t, n, func(i int) error {
+			vals, err := c.LookupTXT(context.Background(), payloadName(i))
+			if err != nil {
+				return err
+			}
+			if want := payloadTXT(i); len(vals) != 1 || vals[0] != want {
+				return fmt.Errorf("%s: TXT = %q, want [%q]", payloadName(i), vals, want)
+			}
+			return nil
+		})
+	})
+}
+
+// concurrently runs f(0), ..., f(n-1) on n goroutines and reports every
+// error.
+func concurrently(t *testing.T, n int, f func(i int) error) {
+	t.Helper()
 	var wg sync.WaitGroup
-	errs := make(chan error, 32)
-	for i := 0; i < 32; i++ {
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := c.LookupMX(context.Background(), "example.com"); err != nil {
+			if err := f(i); err != nil {
 				errs <- err
 			}
 		}()
@@ -218,6 +253,21 @@ func TestConcurrentLookups(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// payloadZone serves n TXT names, each with a payload of its own: name i
+// answers payloadTXT(i).
+func payloadZone(n int) *dnszone.Zone {
+	z := dnszone.New("example.com")
+	for i := 0; i < n; i++ {
+		z.MustAdd(dnsmsg.RR{Name: payloadName(i), Type: dnsmsg.TypeTXT, Class: dnsmsg.ClassIN, TTL: 60,
+			Data: dnsmsg.NewTXT(payloadTXT(i))})
+	}
+	return z
+}
+
+func payloadName(i int) string { return fmt.Sprintf("_mta-sts.d%d.example.com", i) }
+
+func payloadTXT(i int) string { return fmt.Sprintf("v=STSv1; id=%d%s;", i, strings.Repeat("x", i)) }
 
 func TestCacheLRUAndTTL(t *testing.T) {
 	cache := NewCache(2)
@@ -464,5 +514,23 @@ func TestClientZeroValueDefaults(t *testing.T) {
 	vals, err := c.LookupTXT(context.Background(), "_mta-sts.example.com")
 	if err != nil || len(vals) != 1 {
 		t.Errorf("zero-value client: %v, %v", vals, err)
+	}
+}
+
+// BenchmarkLookupUncached measures one uncached TXT lookup over a real
+// loopback UDP exchange: query pack, dial, send, receive, unpack and
+// answer interpretation. Run with -benchmem to see the per-query
+// allocation the receive-buffer pool removes.
+func BenchmarkLookupUncached(b *testing.B) {
+	_, c := serveZone(b, payloadZone(1))
+	c.Cache = nil
+	ctx := context.Background()
+	name := payloadName(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.LookupTXT(ctx, name); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -179,8 +179,8 @@ func TestPipelineDedupCountersExact(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	const wantMisses = nDomains + poolSize          // 40 fetch + 8 probe leaders
-	const wantHits = 2*nDomains - poolSize          // 80 probe calls - 8 leaders
+	const wantMisses = nDomains + poolSize // 40 fetch + 8 probe leaders
+	const wantHits = 2*nDomains - poolSize // 80 probe calls - 8 leaders
 	if c := snap.Counters["scanner.dedup.misses"]; c != wantMisses {
 		t.Errorf("scanner.dedup.misses = %d, want %d", c, wantMisses)
 	}
