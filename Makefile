@@ -1,5 +1,5 @@
 # Standard entry points; CI runs `make check`, `make bench-smoke`,
-# `make smoke-faults`, `make smoke-adversary`, `make smoke-campaign`,
+# `make perfbench-test`, `make smoke-faults`, `make smoke-adversary`, `make smoke-campaign`,
 # `make smoke-send`, `make smoke-serve`, and `make fuzz`.
 GO ?= go
 
@@ -7,7 +7,7 @@ GO ?= go
 # locally for real exploration, e.g. `make fuzz FUZZTIME=5m`.
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet lint lint-baseline check docs reproduce smoke-faults smoke-adversary smoke-campaign smoke-send smoke-serve fuzz bench bench-check bench-smoke leaktest
+.PHONY: build test race vet lint lint-baseline check docs reproduce smoke-faults smoke-adversary smoke-campaign smoke-send smoke-serve fuzz bench bench-check bench-smoke perfbench-test leaktest
 
 build:
 	$(GO) build ./...
@@ -39,7 +39,7 @@ lint:
 lint-baseline:
 	$(GO) run ./cmd/mtastslint -write-baseline
 
-check: build vet lint docs test race leaktest bench-smoke smoke-adversary smoke-serve
+check: build vet lint docs test race leaktest bench-smoke perfbench-test smoke-adversary smoke-serve
 
 # Goroutine-leak harness (internal/leakcheck): the concurrency-heavy
 # packages declare a TestMain that fails the binary if any test leaves
@@ -134,6 +134,13 @@ bench:
 # b.Fatal fails the build.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# The end-to-end benchmark (_perfbench, its own module over this one,
+# see BENCHMARK.json) has self-tests of its workload templates and
+# metrics. Running them here makes a store or API change that breaks
+# the benchmark fail CI rather than the benchmark run (~12s).
+perfbench-test:
+	cd _perfbench && GOWORK=off GOFLAGS= $(GO) test ./...
 
 # Bench regression bar: regenerate the benchmark JSONs into /tmp (the
 # committed BENCH_*.json stay untouched) and fail if any row's

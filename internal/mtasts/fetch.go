@@ -204,12 +204,13 @@ type Fetcher struct {
 	// RetryBudget, when non-nil, caps total retries across the run.
 	RetryBudget *retry.Budget
 	// SessionCache, when non-nil, enables TLS session resumption across
-	// fetches from this Fetcher. A scan shares one Fetcher across all
-	// its domains, so repeated fetches against the same provider skip
-	// the full handshake; crypto/tls keys the cache by server name, so
-	// sessions never leak across policy hosts. Resumed connections
-	// still surface the original certificate chain in ConnectionState,
-	// so certificate classification is unaffected.
+	// fetches from this Fetcher. crypto/tls keys the cache by server
+	// name, which is the policy host mta-sts.<domain>, so only a
+	// re-fetch of the same policy host resumes: two domains hosted by
+	// one provider still each pay a full handshake, and sessions never
+	// leak across policy hosts. Resumed connections still surface the
+	// original certificate chain in ConnectionState, so certificate
+	// classification is unaffected.
 	SessionCache tls.ClientSessionCache
 }
 

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -323,5 +324,56 @@ func TestPolicyURLAndHost(t *testing.T) {
 	}
 	if PolicyURL("example.com") != "https://mta-sts.example.com/.well-known/mta-sts.txt" {
 		t.Errorf("PolicyURL = %q", PolicyURL("example.com"))
+	}
+}
+
+// countingSessionCache records which server names the TLS client
+// looked up and which lookups found a session to resume.
+type countingSessionCache struct {
+	tls.ClientSessionCache
+	mu   sync.Mutex
+	hits map[string]int
+	gets map[string]int
+}
+
+func (c *countingSessionCache) Get(key string) (*tls.ClientSessionState, bool) {
+	s, ok := c.ClientSessionCache.Get(key)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.gets[key]++
+	if ok {
+		c.hits[key]++
+	}
+	return s, ok
+}
+
+// TestFetchSessionResumesOnlySamePolicyHost pins what SessionCache
+// buys: crypto/tls keys sessions by server name, mta-sts.<domain>, so
+// a second fetch of the same domain resumes, while a different domain
+// on the same server (one provider, one certificate) does not.
+func TestFetchSessionResumesOnlySamePolicyHost(t *testing.T) {
+	ca := newFetcherCA(t)
+	srv := startPolicyServer(t, issue(t, ca, "mta-sts.example.com", "mta-sts.example.net"),
+		policyHandler(rfcExamplePolicy, http.StatusOK))
+	cache := &countingSessionCache{ClientSessionCache: tls.NewLRUClientSessionCache(8),
+		hits: map[string]int{}, gets: map[string]int{}}
+	f := &Fetcher{Resolver: loopbackResolver(), RootCAs: ca.Pool(), Port: srv.port,
+		Timeout: 3 * time.Second, SessionCache: cache}
+
+	for _, domain := range []string{"example.com", "example.com", "example.net"} {
+		if _, _, err := f.Fetch(context.Background(), domain); err != nil {
+			t.Fatalf("Fetch(%s): %v", domain, err)
+		}
+	}
+	cache.mu.Lock()
+	defer cache.mu.Unlock()
+	if got := cache.hits["mta-sts.example.com"]; got != 1 {
+		t.Errorf("re-fetch of mta-sts.example.com resumed %d times, want 1 (lookups %v)", got, cache.gets)
+	}
+	if cache.gets["mta-sts.example.net"] == 0 {
+		t.Fatalf("no session lookup for mta-sts.example.net (lookups %v)", cache.gets)
+	}
+	if got := cache.hits["mta-sts.example.net"]; got != 0 {
+		t.Errorf("first fetch of mta-sts.example.net resumed %d times, want 0: sessions are per policy host", got)
 	}
 }

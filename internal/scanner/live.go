@@ -60,8 +60,10 @@ type Live struct {
 	// shared by every layer it is handed to.
 	RetryBudget *retry.Budget
 	// SessionCache overrides the TLS session cache handed to the shared
-	// policy fetcher. Nil gets a per-scanner LRU cache, so repeated
-	// fetches against the same provider resume instead of re-handshaking.
+	// policy fetcher. Nil gets a per-scanner 1024-entry LRU cache. Its
+	// key is the policy host (mta-sts.<domain>), so only a re-fetch of
+	// the same domain's policy resumes instead of re-handshaking, and
+	// only while that host is among the 1024 most recently used.
 	SessionCache tls.ClientSessionCache
 
 	// One fetcher and one prober serve every domain this scanner
@@ -229,7 +231,7 @@ func (l *Live) Finalize(r *DomainResult, took time.Duration) {
 
 // sharedFetcher lazily builds the one policy fetcher this scanner uses
 // for every domain — previously a throwaway per domain, now shared so
-// TLS sessions resume across fetches.
+// a re-fetch of the same policy host resumes its TLS session.
 func (l *Live) sharedFetcher() *mtasts.Fetcher {
 	l.fetcherOnce.Do(func() {
 		cache := l.SessionCache

@@ -60,7 +60,8 @@ type Server struct {
 	closed chan struct{}
 
 	mu        sync.Mutex
-	seen      map[string]bool // greylist memory, by remote IP
+	conns     map[net.Conn]struct{} // open client connections, closed by Close
+	seen      map[string]bool       // greylist memory, by remote IP
 	messages  []Message
 	connCount int
 	faults    *faults.Injector
@@ -72,7 +73,7 @@ func New(b Behavior) *Server {
 	if b.Hostname == "" {
 		b.Hostname = "mx.invalid"
 	}
-	return &Server{behavior: b, closed: make(chan struct{}), seen: make(map[string]bool)}
+	return &Server{behavior: b, closed: make(chan struct{}), conns: make(map[net.Conn]struct{}), seen: make(map[string]bool)}
 }
 
 // Start listens on addr ("127.0.0.1:0" for ephemeral) and serves.
@@ -95,7 +96,8 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// Close stops the server.
+// Close stops the server: it stops accepting, closes every open client
+// connection, idle ones included, and waits for their sessions to end.
 func (s *Server) Close() error {
 	select {
 	case <-s.closed:
@@ -106,6 +108,17 @@ func (s *Server) Close() error {
 	var err error
 	if s.ln != nil {
 		err = s.ln.Close()
+	}
+	// serve adds no connection once closed is closed, so this sweep
+	// sees every connection a session still holds.
+	s.mu.Lock()
+	conns := make([]net.Conn, 0, len(s.conns))
+	for c := range s.conns {
+		conns = append(conns, c)
+	}
+	s.mu.Unlock()
+	for _, c := range conns {
+		c.Close() //lint:ignore errdrop this only unblocks the session, whose own defer closes it again
 	}
 	s.wg.Wait()
 	return err
@@ -186,11 +199,24 @@ func (s *Server) serve() {
 		}
 		s.mu.Lock()
 		s.connCount++
+		select {
+		case <-s.closed: // Close's sweep may have run: do not register
+			s.mu.Unlock()
+			conn.Close() //lint:ignore errdrop shutting down; there is no caller to report to
+			return
+		default:
+		}
+		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			defer conn.Close()
+			defer func() {
+				s.mu.Lock()
+				delete(s.conns, conn)
+				s.mu.Unlock()
+				conn.Close() //lint:ignore errdrop the session is over; there is no caller to report to
+			}()
 			s.session(conn)
 		}()
 	}

@@ -269,3 +269,24 @@ func TestSetBehavior(t *testing.T) {
 		}
 	}
 }
+
+// TestCloseWithIdleClient pins that Close does not wait out an idle
+// client's session deadline: it closes the connection and returns.
+func TestCloseWithIdleClient(t *testing.T) {
+	srv, c := dial(t, Behavior{Hostname: "mx.test.example"})
+	c.expect(220) // greeted; the client now goes idle
+
+	done := make(chan error, 1)
+	go func() { done <- srv.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Close still blocked after 1s with an idle client connected")
+	}
+	if _, err := c.r.ReadString('\n'); err == nil {
+		t.Fatal("idle client's connection still open after Close")
+	}
+}

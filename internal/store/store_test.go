@@ -268,3 +268,98 @@ func TestDiskBinaryValuesRoundTrip(t *testing.T) {
 		t.Fatalf("binary value mangled: ok=%v err=%v len=%d", ok, err, len(v))
 	}
 }
+
+// TestDiskCompactionFailureKeepsStore makes compaction fail before it
+// renames anything (its temp path is a directory) and requires the
+// store to stay usable and lose nothing.
+func TestDiskCompactionFailureKeepsStore(t *testing.T) {
+	setFloor(t, 64)
+	dir := t.TempDir()
+	s, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if err := s.Put("k", []byte(fmt.Sprintf("v%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(dir, compactTemp), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err == nil {
+		t.Fatal("Sync reported no error from a failed compaction")
+	}
+	if err := s.Put("k", []byte("last")); err != nil {
+		t.Fatalf("Put after a failed compaction: %v", err)
+	}
+	if err := s.Close(); err == nil {
+		t.Fatal("Close reported no error from a failed compaction")
+	}
+	s, err = OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if v, ok, err := s.Get("k"); err != nil || !ok || string(v) != "last" {
+		t.Fatalf("Get(k) = %q ok=%v err=%v, want last", v, ok, err)
+	}
+}
+
+// TestDiskCompactionBoundsSegments overwrites a small key set many
+// times and requires Close to leave only the live records, split at the
+// rotation threshold into segments numbered above the old ones.
+func TestDiskCompactionBoundsSegments(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SegmentBytes = 512
+	mem := NewMem()
+	for i := 0; i < 400; i++ {
+		k, v := fmt.Sprintf("k%02d", i%40), []byte(strings.Repeat("z", i%30))
+		if err := s.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
+		if err := mem.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oldTop := s.active
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var onDisk int64
+	for _, e := range entries {
+		var n int
+		if _, err := fmt.Sscanf(e.Name(), segPrefix+"%d"+segSuffix, &n); err != nil || n <= oldTop {
+			t.Fatalf("after compaction %s remains (old segments end at %d)", e.Name(), oldTop)
+		}
+		fi, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() > 512+128 {
+			t.Fatalf("%s holds %d bytes, past the 512-byte threshold plus one record", e.Name(), fi.Size())
+		}
+		onDisk += fi.Size()
+	}
+	if len(entries) < 2 {
+		t.Fatalf("compaction wrote %d segments, want the output split at the threshold", len(entries))
+	}
+
+	s, err = OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.dead != 0 || s.SizeBytes() != onDisk {
+		t.Fatalf("reopened store: %d superseded bytes, size %d; want 0 and %d", s.dead, s.SizeBytes(), onDisk)
+	}
+	compareScans(t, mem, s, "")
+}
